@@ -64,7 +64,7 @@ import queue
 import sqlite3
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -170,20 +170,11 @@ class CatalogStats:
         return dict(asdict(self))
 
     def merge(self, other: "CatalogStats") -> None:
-        """Accumulate ``other`` into this snapshot."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.duplicate_stores += other.duplicate_stores
-        self.validate_rejects += other.validate_rejects
-        self.errors += other.errors
-        self.retries += other.retries
-        self.lost_writes += other.lost_writes
-        self.writer_respawns += other.writer_respawns
-        self.reattach_replays += other.reattach_replays
-        self.circuit_opens += other.circuit_opens
-        self.circuit_probes += other.circuit_probes
-        self.circuit_reattaches += other.circuit_reattaches
+        """Accumulate ``other`` into this snapshot: every ``int`` field is
+        summed, a non-closed circuit state wins, fallback is OR-ed."""
+        for spec in fields(self):
+            if spec.type == "int":
+                setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
         if other.circuit_state != "closed":
             self.circuit_state = other.circuit_state
         self.memory_fallback = self.memory_fallback or other.memory_fallback

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..decomp.covers import CoverEnumerator
 from ..decomp.decomposition import HypertreeDecomposition
@@ -78,20 +78,14 @@ class SearchStatistics:
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
 
     def merge(self, other: "SearchStatistics") -> None:
-        """Accumulate the counters of ``other`` into this object."""
-        self.recursive_calls += other.recursive_calls
+        """Accumulate the counters of ``other`` into this object.
+
+        Every ``int`` field is summed, except the depth high-water mark.
+        """
+        for spec in fields(self):
+            if spec.type == "int" and spec.name != "max_recursion_depth":
+                setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
         self.max_recursion_depth = max(self.max_recursion_depth, other.max_recursion_depth)
-        self.labels_tried += other.labels_tried
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.subproblems_delegated += other.subproblems_delegated
-        self.enum_branches_pruned += other.enum_branches_pruned
-        self.enum_domination_skips += other.enum_domination_skips
-        self.splitter_memo_hits += other.splitter_memo_hits
-        self.splitter_memo_misses += other.splitter_memo_misses
-        self.mask_table_builds += other.mask_table_builds
-        self.bitset_memo_hits += other.bitset_memo_hits
-        self.worker_respawns += other.worker_respawns
         for stage, seconds in other.stage_seconds.items():
             self.record_stage(stage, seconds)
 

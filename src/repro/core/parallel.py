@@ -10,11 +10,12 @@ reproduces that strategy:
   whose smallest edge index falls in group ``i``.  The union of the groups
   covers the full label space, so "all workers fail" is a sound "no" answer
   and "any worker succeeds" is a sound "yes".
-* Two backends are provided.  The ``process`` backend uses
-  :mod:`multiprocessing` and delivers real speedups (each worker is a
-  separate interpreter); the ``thread`` backend exists for API parity and to
-  measure — as documented in DESIGN.md — that CPython's GIL prevents
-  thread-level scaling for this CPU-bound search.
+* Two backends are provided.  The ``process`` backend runs one worker per
+  partition on the supervised pool of :mod:`repro.workers` and delivers
+  real speedups (each worker is a separate interpreter).  The ``thread``
+  backend is the path used inside the service's process-backend workers:
+  those are daemonic and cannot fork workers of their own.  Under the GIL
+  it does not scale this CPU-bound search.
 
 The Go implementation evaluated in the paper parallelises every recursion
 level; partitioning only the top level is a simplification that preserves the
@@ -24,9 +25,6 @@ the Python implementation portable.
 
 from __future__ import annotations
 
-import logging
-import multiprocessing as mp
-import queue as pyqueue
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -36,47 +34,23 @@ from ..decomp.covers import CoverEnumerator
 from ..decomp.extended import FragmentNode, full_bitcomp
 from ..exceptions import SolverError
 from ..hypergraph import Hypergraph
+from ..workers import POLL_INTERVAL, EitherEvent, WorkerPool, WorkerSlot, _write_frame
 from .base import Decomposer, DecompositionResult, SearchContext, SearchStatistics
 from .detk import DetKSearch
 from .fragments import fragment_to_decomposition
 from .hybrid import HybridDecomposer, make_metric
 from .logk import LogKSearch
 
-__all__ = ["EitherEvent", "ParallelLogKDecomposer"]
-
-logger = logging.getLogger("repro.parallel")
+__all__ = ["ParallelLogKDecomposer"]
 
 
-class _EitherEvent:
-    """Read-only OR view over two events (only ``is_set`` is consulted)."""
+def _partition_worker(result_fd, slot, attempt, fault_spec, args: tuple) -> None:
+    """Process-backend entry point: run the search, frame its one outcome back.
 
-    __slots__ = ("first", "second")
-
-    def __init__(self, first, second) -> None:
-        self.first = first
-        self.second = second
-
-    def is_set(self) -> bool:
-        return self.first.is_set() or self.second.is_set()
-
-
-#: Public alias: the serving layer's process backend composes its worker-side
-#: cancel signals (pool stop | shutdown abort | per-request cancel ring) out
-#: of the same OR view the thread backend uses here.
-EitherEvent = _EitherEvent
-
-
-def _worker_search_to_queue(result_queue, slot, attempt, fault_spec, args: tuple) -> None:
-    """Process-backend entry point: run the search, ship the outcome back.
-
-    Every worker puts exactly one slot-tagged result (``_worker_search``
-    converts any internal failure into a ``timed_out`` outcome), so the
-    coordinator tracks completion per partition instead of trusting pool
-    machinery.  ``fault_spec`` re-creates the parent's fault injector in the
-    child (injection must behave identically under fork and spawn); the
-    ``parallel.worker`` point fired here carries ``slot``/``attempt``
-    context, so a chaos schedule can kill attempt 0 of a slot and let its
-    respawned replacement live.
+    ``fault_spec`` re-creates the parent's fault injector in the child with
+    fresh locks; the ``parallel.worker`` point fired here carries
+    ``slot``/``attempt`` context, so a chaos schedule can kill attempt 0 of
+    a slot and let its respawned replacement live.
     """
     faults.install_spec(fault_spec)
     try:
@@ -86,7 +60,7 @@ def _worker_search_to_queue(result_queue, slot, attempt, fault_spec, args: tuple
         # An injected (or otherwise escaped) error: report the partition as
         # undecided rather than dying without a word.
         outcome = (True, False, None, SearchStatistics())
-    result_queue.put((slot, outcome))
+    _write_frame(result_fd, outcome)
 
 
 def _worker_search(
@@ -264,10 +238,6 @@ class ParallelLogKDecomposer(Decomposer):
             self.subedge_domination,
         )
 
-    #: A dead worker's result may still be in flight through the queue's
-    #: feeder thread when ``is_alive`` first reports False; only after this
-    #: many consecutive empty sweeps is the slot treated as crashed.
-    _DEAD_STRIKES = 2
     #: Respawn budget per partition slot; beyond it the slot is abandoned
     #: (the run degrades to undecided instead of looping on a doomed
     #: partition).
@@ -281,99 +251,58 @@ class ParallelLogKDecomposer(Decomposer):
         timeout: float | None,
         cancel_event: threading.Event | None = None,
     ) -> tuple[bool, bool, FragmentNode | None, SearchStatistics]:
-        # Plain Process workers + one result queue instead of a Pool:
-        # ``Pool.terminate`` can deadlock when its task-handler thread is
-        # still blocked writing while terminate joins it (observed under
-        # CPython 3.11), and this backend's only need is "first success
-        # kills the rest", which Process.terminate does reliably.
-        #
-        # The coordinator supervises the pool: a worker that dies without
+        # One pool slot per partition.  A worker that dies without
         # reporting (OOM-killed, injected ``kill``) is respawned on the same
         # partition — the search is pure, so recomputing a partition is
-        # sound — up to ``_MAX_RESPAWNS_PER_SLOT`` attempts, after which the
-        # slot is abandoned and the run degrades to undecided.
-        context = mp.get_context()
+        # sound — up to ``_MAX_RESPAWNS_PER_SLOT`` times, after which the
+        # slot is abandoned and the run degrades to undecided.  The
+        # coordinator keeps its own deadline: a wedged or late worker is
+        # terminated at the budget, never waited for.
         stats = SearchStatistics()
         timed_out = False
-        result_queue = context.Queue()
+        deadline = None if timeout is None else time.monotonic() + timeout
         fault_spec = faults.current_spec()
 
-        def spawn(slot: int, attempt: int):
-            worker = context.Process(
-                target=_worker_search_to_queue,
-                args=(
-                    result_queue,
-                    slot,
-                    attempt,
-                    fault_spec,
-                    self._worker_args(hypergraph, k, partitions[slot], timeout),
-                ),
-                daemon=True,
+        def args(slot: WorkerSlot) -> tuple:
+            # A respawned worker gets what is left of the budget.
+            remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
+            return fault_spec, self._worker_args(
+                hypergraph, k, partitions[slot.index], remaining
             )
-            worker.start()
-            return worker
 
-        workers = {slot: spawn(slot, 0) for slot in range(len(partitions))}
-        attempts = dict.fromkeys(workers, 0)
-        strikes = dict.fromkeys(workers, 0)
-        pending = set(workers)
+        pool = WorkerPool(
+            _partition_worker,
+            [WorkerSlot(i) for i in range(len(partitions))],
+            args,
+            name="repro-parallel-worker",
+            max_respawns=self._MAX_RESPAWNS_PER_SLOT,
+        )
         try:
-            while pending:
+            while not all(slot.retired for slot in pool.slots):
                 # External cancellation (a threading.Event cannot cross the
                 # process boundary): terminate the workers in the finally
                 # block and report the run as undecided.
                 if cancel_event is not None and cancel_event.is_set():
                     return True, False, None, stats
-                try:
-                    slot, outcome = result_queue.get(timeout=0.1)
-                except pyqueue.Empty:
-                    for dead in sorted(pending):
-                        if workers[dead].is_alive():
-                            strikes[dead] = 0
-                            continue
-                        strikes[dead] += 1
-                        if strikes[dead] < self._DEAD_STRIKES:
-                            continue
-                        if attempts[dead] >= self._MAX_RESPAWNS_PER_SLOT:
-                            logger.warning(
-                                "parallel worker slot %d died %d times "
-                                "(last exit code %s); abandoning its "
-                                "partition — the run degrades to undecided",
-                                dead,
-                                attempts[dead] + 1,
-                                workers[dead].exitcode,
-                            )
-                            pending.discard(dead)
-                            timed_out = True
-                            continue
-                        attempts[dead] += 1
-                        strikes[dead] = 0
+                poll = POLL_INTERVAL
+                if deadline is not None:
+                    poll = min(poll, deadline - time.monotonic())
+                    if poll <= 0:
+                        return True, False, None, stats
+                messages = pool.read(poll)
+                for slot, (worker_timeout, success, fragment, worker_stats) in messages:
+                    slot.retired = True
+                    stats.merge(worker_stats)
+                    timed_out = timed_out or worker_timeout
+                    if success:
+                        return False, True, fragment, stats
+                for slot, _exit_code in pool.sweep():
+                    if slot.retired:  # abandoned: the run degrades to undecided
+                        timed_out = True
+                    else:
                         stats.worker_respawns += 1
-                        logger.warning(
-                            "parallel worker slot %d died (exit code %s); "
-                            "respawning attempt %d on the same partition",
-                            dead,
-                            workers[dead].exitcode,
-                            attempts[dead],
-                        )
-                        workers[dead] = spawn(dead, attempts[dead])
-                    continue
-                if slot not in pending:
-                    continue  # stale twin from a slot already resolved
-                pending.discard(slot)
-                worker_timeout, success, fragment, worker_stats = outcome
-                stats.merge(worker_stats)
-                timed_out = timed_out or worker_timeout
-                if success:
-                    return False, True, fragment, stats
         finally:
-            for worker in workers.values():
-                if worker.is_alive():
-                    worker.terminate()
-            for worker in workers.values():
-                worker.join()
-            result_queue.close()
-            result_queue.cancel_join_thread()
+            pool.close()
         return timed_out, False, None, stats
 
     def _run_threads(
@@ -387,12 +316,10 @@ class ParallelLogKDecomposer(Decomposer):
         stats = SearchStatistics()
         timed_out = False
         cancel = threading.Event()
-        # Workers poll one object; _EitherEvent folds the caller's external
-        # cancellation into the coordinator's own first-success signal
-        # without aliasing the two (setting the internal event on success
-        # must not look like a caller cancel to anyone else).
+        # Workers poll one object: the caller's external cancellation folded
+        # into the coordinator's own first-success signal.
         worker_cancel = (
-            cancel if cancel_event is None else _EitherEvent(cancel, cancel_event)
+            cancel if cancel_event is None else EitherEvent(cancel, cancel_event)
         )
         with ThreadPoolExecutor(max_workers=len(partitions)) as executor:
             futures = {

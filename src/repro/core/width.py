@@ -10,18 +10,14 @@
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from ..decomp.decomposition import HypertreeDecomposition
 from ..exceptions import SolverError
 from ..hypergraph import Hypergraph
 from ..hypergraph.properties import is_alpha_acyclic
 from ..pipeline.registry import registry as _registry
 from .base import Decomposer, DecompositionResult
-from .detk import DetKDecomposer
-from .ghd import BalancedGHDDecomposer
-from .hybrid import HybridDecomposer
-from .logk import LogKDecomposer
-from .logk_basic import LogKBasicDecomposer
-from .parallel import ParallelLogKDecomposer
 
 __all__ = [
     "ALGORITHMS",
@@ -31,16 +27,12 @@ __all__ = [
     "hypertree_width",
 ]
 
-#: Backwards-compatible class table; :mod:`repro.pipeline.registry` is the
-#: authoritative catalogue and accepts these names (plus aliases).
-ALGORITHMS = {
-    "logk": LogKDecomposer,
-    "logk-basic": LogKBasicDecomposer,
-    "detk": DetKDecomposer,
-    "hybrid": HybridDecomposer,
-    "parallel": ParallelLogKDecomposer,
-    "ghd": BalancedGHDDecomposer,
-}
+#: Read-only name → class view of the built-in algorithms, derived from
+#: :mod:`repro.pipeline.registry` (the authoritative catalogue, which also
+#: accepts aliases and later registrations).
+ALGORITHMS = MappingProxyType(
+    {name: _registry.entry(name).load() for name in _registry.available()}
+)
 
 
 def make_decomposer(algorithm: str = "hybrid", **options) -> Decomposer:

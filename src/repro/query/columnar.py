@@ -52,7 +52,7 @@ from .database import Database
 from .plan import AnswerMode, AtomBinding, JoinOp, ProjectOp, QueryPlan
 from .relation import Relation
 
-try:  # Optional fast path; CI images ship without numpy.
+try:  # Optional fast path; CI tests the suite with and without numpy.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None

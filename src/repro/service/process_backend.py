@@ -22,22 +22,14 @@ warm :class:`~repro.pipeline.engine.DecompositionEngine` /
   canonical hash / token, so a fat instance is not re-pickled per request.
 * **Cancellation side-channel** — each slot owns a small shared ring of
   request sequence numbers; the worker folds it (via
-  :class:`~repro.core.parallel.EitherEvent`) with the pool-wide stop and
+  :class:`~repro.workers.EitherEvent`) with the pool-wide stop and
   abort events into the per-request cancel signal that the decomposition
   search and the columnar executor poll.  ``ServiceTicket.cancel()`` on a
   running request therefore aborts it promptly in this backend too.
-* **Crash supervision** — a worker process that dies without reporting is
-  respawned on the same slot (affinity routing is stable across respawns);
-  its orphaned tasks go through the service's existing requeue /
-  quarantine path, and the fresh worker gets the payloads re-shipped.
-  Results travel over a **per-slot pipe with exactly one writer** rather
-  than a shared ``mp.Queue``: a queue's writers serialise on a shared
-  write lock, and a worker killed between ``send_bytes`` and the lock
-  release (SIGTERM lands there routinely on a loaded single-core host)
-  would take that lock to the grave and silently starve every sibling's
-  results.  Single-writer pipes need no lock at all, and the parent's
-  framed non-blocking reads mean a half-written frame from a dying
-  worker can never block the collector; respawns get a fresh pipe.
+* **Crash supervision** — :class:`repro.workers.WorkerPool` respawns a
+  dead worker on its slot (so affinity routing survives); this backend
+  requeues the orphaned tasks through the service's requeue / quarantine
+  path and re-ships the fresh worker's payloads.
 
 Lock ordering: the backend never takes the service lock while holding its
 own lock (the service may call into the backend under *its* lock — e.g.
@@ -46,11 +38,8 @@ own lock (the service may call into the backend under *its* lock — e.g.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import pickle
 import queue as pyqueue
-import select
 import threading
 import time
 import traceback
@@ -61,12 +50,19 @@ from itertools import count
 from .. import faults
 from ..catalog import CatalogStats
 from ..core import codec
-from ..core.parallel import EitherEvent
 from ..exceptions import ParseError, ServiceError
 from ..pipeline.engine import DecompositionEngine
 from ..pipeline.registry import registry
 from ..query.plan import AnswerMode
 from ..query.workload import QueryAnswer, QueryEngine
+from ..workers import (
+    CONTEXT,
+    POLL_INTERVAL,
+    EitherEvent,
+    WorkerPool,
+    WorkerSlot,
+    _write_frame,
+)
 
 __all__ = ["ProcessBackend"]
 
@@ -76,44 +72,6 @@ _BATCH_LIMIT = 4
 #: Entries in the per-slot cancel ring.  Cancels are rare; the ring only
 #: needs to cover the requests concurrently visible to one worker.
 _CANCEL_RING = 8
-#: Collector poll interval; also bounds crash-detection latency.
-_POLL_INTERVAL = 0.05
-#: Consecutive empty sweeps before a non-alive worker counts as crashed
-#: (its last result may still be in flight through the queue feeder).
-_DEAD_STRIKES = 2
-
-
-def _write_frame(fd: int, message) -> None:
-    """Ship one length-prefixed pickle over a result pipe (worker side).
-
-    The pipe has exactly one writer, so frames never interleave and no
-    lock is needed — which is the point: a shared write lock is exactly
-    what a SIGTERM'd sibling could hold forever.
-    """
-    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(4, "big") + data)
-    while view:
-        written = os.write(fd, view)
-        view = view[written:]
-
-
-def _drain_frames(buffer: bytearray) -> list:
-    """Pop every complete frame off a slot's read buffer (parent side).
-
-    A trailing partial frame — all a dying worker can leave behind —
-    simply stays buffered until the sweep replaces the pipe, so the
-    collector never blocks on a truncated message.
-    """
-    messages = []
-    while True:
-        if len(buffer) < 4:
-            break
-        size = int.from_bytes(buffer[:4], "big")
-        if len(buffer) < 4 + size:
-            break
-        messages.append(pickle.loads(bytes(buffer[4 : 4 + size])))
-        del buffer[: 4 + size]
-    return messages
 
 
 class _Request:
@@ -231,11 +189,11 @@ def _run_request(request: dict, engine, query_engine, graphs, databases, cancel)
 
 
 def _worker_main(
+    result_fd: int,
     slot: int,
     attempt: int,
     config: dict,
     request_queue,
-    result_fd: int,
     stop_event,
     abort_event,
     cancel_ring,
@@ -246,8 +204,7 @@ def _worker_main(
     column stores) plus its own handle on the shared L2 catalog; batch
     messages carry the parent's fault spec so chaos schedules behave
     identically across the boundary.  Answers go back over this slot's
-    private result pipe (``result_fd`` rides across the fork), so the
-    backend requires the ``fork`` start method.
+    pool result pipe.
     """
     engine = DecompositionEngine(catalog=config["catalog_path"])
     query_engine = QueryEngine(
@@ -281,9 +238,7 @@ def _worker_main(
             if message["type"] == "probe":
                 catalog = engine.catalog
                 ok = catalog.probe() if catalog is not None else True
-                _write_frame(
-                    result_fd, ("probe", slot, message["probe_id"], ok, None, meta())
-                )
+                _write_frame(result_fd, ("probe", message["probe_id"], ok, None, meta()))
                 continue
 
             spec = message.get("spec")
@@ -312,14 +267,7 @@ def _worker_main(
                 for item in items:
                     _write_frame(
                         result_fd,
-                        (
-                            "result",
-                            slot,
-                            item["seq"],
-                            "error",
-                            codec.error_to_dict(exc, text),
-                            meta(),
-                        ),
+                        ("result", item["seq"], "error", codec.error_to_dict(exc, text), meta()),
                     )
                 continue
             for item in items:
@@ -336,7 +284,7 @@ def _worker_main(
                         exc, traceback.format_exc()
                     )
                 served += 1
-                _write_frame(result_fd, ("result", slot, seq, status, payload, meta()))
+                _write_frame(result_fd, ("result", seq, status, payload, meta()))
     finally:
         # The write-behind queue of this worker's catalog handle would be
         # dropped with the process; drain it so decided outcomes reach the
@@ -352,42 +300,47 @@ def _worker_main(
 # --------------------------------------------------------------------------- #
 # parent side
 # --------------------------------------------------------------------------- #
-class _Slot:
-    """Parent-side state of one worker slot (stable across respawns)."""
+class _Slot(WorkerSlot):
+    """A pool slot plus the service's per-slot state (stable across respawns)."""
 
     __slots__ = (
-        "index",
-        "process",
         "queue",
         "ring",
         "ring_cursor",
-        "result_rfd",
-        "result_wfd",
-        "rbuf",
-        "attempt",
         "dispatched",
         "completed",
         "shipped_graphs",
         "shipped_dbs",
-        "strikes",
         "meta",
     )
 
-    def __init__(self, index: int, queue, ring) -> None:
-        self.index = index
-        self.process = None
-        self.queue = queue
-        self.ring = ring
-        self.ring_cursor = 0
-        self.result_rfd, self.result_wfd = os.pipe()
-        self.rbuf = bytearray()
-        self.attempt = 0
+    def __init__(self, index: int) -> None:
+        super().__init__(index)
         self.dispatched = 0
         self.completed = 0
+        self.meta: dict | None = None
+        self.queue = None
+        self.renew()
+
+    def renew(self) -> None:
+        """Fresh request queue, cancel ring and ship ledger for a new worker.
+
+        A worker SIGTERM'd inside ``queue.get()`` takes the queue's reader
+        lock (or the ring's lock) to the grave; messages left on the old
+        queue are exactly the orphans being requeued.  The fresh worker has
+        no payloads, so the requeued tasks must re-ship theirs.
+        """
+        if self.queue is not None:
+            self.close_queue()
+        self.queue = CONTEXT.Queue()
+        self.ring = CONTEXT.Array("q", [-1] * _CANCEL_RING)
+        self.ring_cursor = 0
         self.shipped_graphs: set[str] = set()
         self.shipped_dbs: set[str] = set()
-        self.strikes = 0
-        self.meta: dict | None = None
+
+    def close_queue(self) -> None:
+        self.queue.cancel_join_thread()
+        self.queue.close()
 
 
 class ProcessBackend:
@@ -411,12 +364,8 @@ class ProcessBackend:
             "options": dict(service.algorithm_options),
             "catalog_path": str(catalog.path) if catalog is not None else None,
         }
-        # Result pipes ride across the fork as raw file descriptors, so
-        # the backend is pinned to the fork start method (the repo targets
-        # Linux, where it is also the default).
-        self._ctx = mp.get_context("fork")
-        self._stop_event = self._ctx.Event()
-        self._abort_event = self._ctx.Event()
+        self._stop_event = CONTEXT.Event()
+        self._abort_event = CONTEXT.Event()
         self._lock = threading.Lock()
         self._seq = count(1)
         self._outstanding: dict[int, object] = {}
@@ -427,14 +376,22 @@ class ProcessBackend:
         self._db_counter = count(1)
         self._stopping = threading.Event()
         self._workers_stopped = False
-        self.respawns = 0
-
-        self._slots = [
-            _Slot(i, self._ctx.Queue(), self._ctx.Array("q", [-1] * _CANCEL_RING))
-            for i in range(num_workers)
-        ]
-        for slot in self._slots:
-            slot.process = self._spawn(slot)
+        # Daemonic pool workers cannot fork: submit parallel-backend
+        # decompositions with ``backend="thread"`` under this backend.
+        self._pool = WorkerPool(
+            _worker_main,
+            [_Slot(i) for i in range(num_workers)],
+            lambda slot: (
+                self._config,
+                slot.queue,
+                self._stop_event,
+                self._abort_event,
+                slot.ring,
+            ),
+            name="repro-service-worker",
+            on_respawn=_Slot.renew,
+        )
+        self._slots = self._pool.slots
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-service-dispatch", daemon=True
         )
@@ -444,27 +401,9 @@ class ProcessBackend:
         self._dispatcher.start()
         self._collector.start()
 
-    def _spawn(self, slot: _Slot):
-        # Daemonic so a crashed parent never leaks workers; consequently a
-        # worker cannot itself spawn processes — submit parallel-backend
-        # decompositions with ``backend="thread"`` under this backend.
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                slot.index,
-                slot.attempt,
-                self._config,
-                slot.queue,
-                slot.result_wfd,
-                self._stop_event,
-                self._abort_event,
-                slot.ring,
-            ),
-            daemon=True,
-            name=f"repro-service-worker-{slot.index}",
-        )
-        process.start()
-        return process
+    @property
+    def respawns(self) -> int:
+        return self._pool.respawns
 
     # ------------------------------------------------------------------ #
     # request preparation (runs on the submitting thread)
@@ -653,25 +592,14 @@ class ProcessBackend:
     # collector
     # ------------------------------------------------------------------ #
     def _collect_loop(self) -> None:
-        # The per-slot read fds are mutated only by ``_sweep_dead`` (which
-        # runs on this thread) and closed only after this thread has been
-        # joined, so the select set needs no locking.
-        service = self._service
+        # The pool's read fds are replaced only by the sweep (which runs on
+        # this thread) and closed only after this thread has been joined,
+        # so reading and sweeping need no locking against each other.
         last_sweep = time.monotonic()
         while True:
-            fds = [slot.result_rfd for slot in self._slots]
-            ready, _, _ = select.select(fds, [], [], _POLL_INTERVAL)
-            ready_fds = set(ready)
-            messages = []
-            for slot in self._slots:
-                if slot.result_rfd not in ready_fds:
-                    continue
-                chunk = os.read(slot.result_rfd, 1 << 16)
-                if chunk:
-                    slot.rbuf += chunk
-                    messages.extend(_drain_frames(slot.rbuf))
+            messages = self._pool.read()
             now = time.monotonic()
-            if not messages or now - last_sweep > _POLL_INTERVAL:
+            if not messages or now - last_sweep > POLL_INTERVAL:
                 last_sweep = now
                 self._sweep_dead()
                 if (
@@ -683,24 +611,21 @@ class ProcessBackend:
                         idle = not self._outstanding
                     if idle:
                         return
-            for message in messages:
-                self._handle_message(message)
+            for slot, message in messages:
+                self._handle_message(slot, message)
 
-    def _handle_message(self, message) -> None:
-        service = self._service
-        kind, slot_index, ref, status, payload, meta = message
+    def _handle_message(self, slot: _Slot, message) -> None:
+        kind, ref, status, payload, meta = message
         if kind == "probe":
             with self._lock:
-                self._slots[slot_index].meta = meta
+                slot.meta = meta
                 if ref in self._probe_results:
                     self._probe_results[ref] = bool(status)
             return
         with self._lock:
             task = self._outstanding.pop(ref, None)
             self._outstanding_slot.pop(ref, None)
-            slot = self._slots[slot_index]
             slot.meta = meta
-            slot.strikes = 0
             if task is not None:
                 slot.completed += 1
         if task is None:
@@ -714,65 +639,24 @@ class ProcessBackend:
                 error.__cause__ = exc
         else:
             error = codec.error_from_dict(payload)
-        service._complete(task, result, error)
+        self._service._complete(task, result, error)
 
     def _sweep_dead(self) -> None:
         orphans = []
-        stale_queues = []
-        stale_fds = []
         with self._lock:
             if self._workers_stopped:
                 return
-            for slot in self._slots:
-                if slot.process.is_alive():
-                    slot.strikes = 0
-                    continue
-                slot.strikes += 1
-                if slot.strikes < _DEAD_STRIKES:
-                    continue
-                exit_code = slot.process.exitcode
+            # Respawning under the lock keeps the dispatcher from putting
+            # work on a dead slot's old queue after its orphans are taken.
+            for slot, exit_code in self._pool.sweep():
                 dead = [
                     seq
                     for seq, index in self._outstanding_slot.items()
                     if index == slot.index
                 ]
-                tasks = []
                 for seq in dead:
-                    tasks.append(self._outstanding.pop(seq))
                     del self._outstanding_slot[seq]
-                # The fresh worker starts with cold caches and no shipped
-                # payloads; clearing the ship ledger makes the requeued
-                # tasks re-attach their hypergraphs/databases.
-                slot.shipped_graphs.clear()
-                slot.shipped_dbs.clear()
-                # A worker that died parked inside ``queue.get()`` (e.g. a
-                # SIGTERM, as opposed to the fault injector's controlled
-                # ``os._exit`` mid-batch) takes the queue's reader lock to
-                # the grave — a successor reading the same queue would
-                # block forever.  Same story for the cancel-ring lock.
-                # Respawned slots therefore get fresh primitives; pending
-                # messages on the old queue are exactly the orphans being
-                # requeued, so nothing is lost.
-                stale_queues.append(slot.queue)
-                slot.queue = self._ctx.Queue()
-                slot.ring = self._ctx.Array("q", [-1] * _CANCEL_RING)
-                slot.ring_cursor = 0
-                # The result pipe gets the same treatment: the dead worker
-                # may have left a half-written frame behind, which would
-                # desync the successor's frames on a reused pipe.
-                stale_fds.extend((slot.result_rfd, slot.result_wfd))
-                slot.result_rfd, slot.result_wfd = os.pipe()
-                slot.rbuf = bytearray()
-                slot.strikes = 0
-                slot.attempt += 1
-                self.respawns += 1
-                slot.process = self._spawn(slot)
-                orphans.extend((task, exit_code) for task in tasks)
-        for queue in stale_queues:
-            queue.cancel_join_thread()
-            queue.close()
-        for fd in stale_fds:
-            os.close(fd)
+                    orphans.append((self._outstanding.pop(seq), exit_code))
         for task, exit_code in orphans:
             self._service._supervise_crash(
                 task,
@@ -906,17 +790,9 @@ class ProcessBackend:
             if self._workers_stopped:
                 return
             self._workers_stopped = True
-            slots = list(self._slots)
         self._stop_event.set()
-        for slot in slots:
+        for slot in self._slots:
             slot.queue.put(None)
-        for slot in slots:
-            slot.process.join(timeout=5.0)
-            if slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join(timeout=1.0)
-        for slot in slots:
-            slot.queue.close()
-            slot.queue.cancel_join_thread()
-            os.close(slot.result_rfd)
-            os.close(slot.result_wfd)
+        self._pool.close(grace=5.0)
+        for slot in self._slots:
+            slot.close_queue()

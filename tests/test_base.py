@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
+from repro.catalog import CatalogStats
 from repro.core import DetKDecomposer, LogKDecomposer
 from repro.core.base import SearchContext, SearchStatistics
 from repro.exceptions import SolverError, TimeoutExceeded
@@ -27,6 +30,36 @@ def test_statistics_merge():
     assert a.max_recursion_depth == 4
     assert a.labels_tried == 10
     assert a.cache_hits == 1
+
+
+#: Non-default values for the fields that are not plain summed counters.
+_NON_COUNTERS = {
+    "stage_seconds": {"simplify": 0.5},
+    "circuit_state": "open",
+    "memory_fallback": True,
+}
+
+
+@pytest.mark.parametrize("cls", [SearchStatistics, CatalogStats])
+def test_merge_carries_every_field(cls):
+    # A distinct non-default value in every field: a field that ``merge``
+    # forgets shows up as a mismatch against the source.
+    source = cls(
+        **{
+            spec.name: _NON_COUNTERS.get(spec.name, index)
+            for index, spec in enumerate(fields(cls), start=1)
+        }
+    )
+    target = cls()
+    target.merge(source)
+    assert target == source
+    target.merge(source)
+    for index, spec in enumerate(fields(cls), start=1):
+        if spec.name not in _NON_COUNTERS and spec.name != "max_recursion_depth":
+            assert getattr(target, spec.name) == 2 * index, spec.name
+    if cls is SearchStatistics:
+        assert target.max_recursion_depth == source.max_recursion_depth
+        assert target.stage_seconds == {"simplify": 1.0}
 
 
 def test_search_context_rejects_bad_k(cycle6):

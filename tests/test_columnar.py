@@ -22,6 +22,7 @@ from repro.query import (
     execute_plan,
     naive_join_query,
 )
+from repro.query import columnar
 from repro.query.columnar import ColumnarRelation
 from repro.hypergraph.cq import Atom, ConjunctiveQuery
 
@@ -98,6 +99,43 @@ def test_columnar_and_eager_evaluate_query_agree(case):
     eager = evaluate_query(query, database, executor="eager")
     assert columnar.answers.as_dicts() == eager.answers.as_dicts()
     assert columnar.count == len(eager.answers)
+
+
+@pytest.mark.skipif(columnar._np is None, reason="numpy is not installed")
+@given(_query_and_database())
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_numpy_and_pure_python_paths_agree(case):
+    # The numpy fast path is what users with numpy installed hit; the same
+    # plans must answer identically with it and without it.
+    query, database = case
+    _width, decomposition = hypertree_width(query.hypergraph(), max_width=4)
+    tree = join_tree_from_decomposition(decomposition)
+    plans = [compile_plan(query, tree, mode) for mode in ("enumerate", "boolean", "count")]
+
+    def run():
+        store = ColumnStore(database)  # fresh: no columns cached by the other arm
+        outcomes = []
+        for plan in plans:
+            result = execute_plan(plan, database, store)
+            answers = result.answers
+            outcomes.append(
+                (
+                    None if answers is None else (answers.schema, answers.as_dicts()),
+                    result.boolean,
+                    result.count,
+                )
+            )
+        return outcomes
+
+    with_numpy = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columnar, "_np", None)
+        pure = run()
+    assert with_numpy == pure
 
 
 # --------------------------------------------------------------------------- #

@@ -113,7 +113,8 @@ def test_monotonicity_in_k():
 # must emit certificates that pass the independent validate_hd oracle.  The
 # seeds 5000/5007 instances are the ones on which the pre-fix hybrid (det-k
 # delegation ignoring the allowed-edge set) and log-k-basic (no allowed-edge
-# exclusion at all) used to emit condition-4-violating trees; see ROADMAP.md.
+# exclusion at all) used to emit condition-4-violating trees; see "Why the
+# allowed-edge restriction is correctness-relevant" in docs/architecture.md.
 CERTIFICATE_CONFIGS = {
     "logk": lambda: LogKDecomposer(use_engine=False),
     "logk-nobalance": lambda: LogKDecomposer(use_engine=False, require_balanced=False),

@@ -98,8 +98,9 @@ def test_hybrid_timeout():
     assert result.timed_out
 
 
-#: random_csp(9, 10, arity=3, seed=5007): the instance from ROADMAP.md on
-#: which the hybrid decomposer used to emit an HD violating condition 4 (the
+#: random_csp(9, 10, arity=3, seed=5007): the instance (see "Why the
+#: allowed-edge restriction is correctness-relevant" in docs/architecture.md)
+#: on which the hybrid decomposer used to emit an HD violating condition 4 (the
 #: special condition) — the det-k leaf engine ignored log-k's allowed-edge
 #: set, so an "up" fragment above a stitched separator could put an edge of
 #: the component below into a λ-label.

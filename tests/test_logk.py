@@ -83,10 +83,10 @@ def test_recursion_depth_is_logarithmic():
 
 
 def test_restrict_allowed_edges_flag_is_gone():
-    # The flag was deprecated-and-ignored in PR 5 (the allowed-edge
-    # restriction is correctness-relevant, see ROADMAP.md) and has now been
-    # removed: constructing with it must fail loudly rather than silently
-    # accept a setting that never did anything.
+    # The flag was deprecated-and-ignored and has now been removed (see "Why
+    # the allowed-edge restriction is correctness-relevant" in
+    # docs/architecture.md): constructing with it must fail loudly rather
+    # than silently accept a setting that never did anything.
     from repro.core import HybridDecomposer
 
     with pytest.raises(TypeError, match="restrict_allowed_edges"):

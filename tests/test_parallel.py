@@ -201,3 +201,22 @@ def test_respawn_budget_exhausted_degrades_to_undecided(cycle10):
     assert not result.success
     assert result.timed_out
     assert result.statistics.worker_respawns == 2 * P._MAX_RESPAWNS_PER_SLOT
+
+
+def test_coordinator_stops_at_its_budget():
+    from repro import faults
+
+    # Every worker stalls far past the budget before it starts searching;
+    # the coordinator must not wait for them: it stops at its own deadline,
+    # terminates the workers and reports the run as undecided.
+    hard = generators.with_chords(generators.cycle(60), 5, seed=4)
+    rule = faults.FaultRule(point="parallel.worker", delay=6.0)
+    decomposer = ParallelLogKDecomposer(
+        num_workers=2, hybrid=False, use_engine=False, timeout=1.0
+    )
+    start = time.monotonic()
+    with faults.injected(rule):
+        result = decomposer.decompose_raw(hard, 2)
+    elapsed = time.monotonic() - start
+    assert result.timed_out and not result.success
+    assert elapsed <= decomposer.timeout + 0.5
